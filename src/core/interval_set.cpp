@@ -14,8 +14,8 @@ IntervalSet::IntervalSet(std::vector<Interval> intervals) {
   }
   // Sorting by lo alone is enough: the merge below accumulates max hi, so
   // the relative order of equal-lo intervals cannot change the result.
-  // Callers that maintain sorted interval lists (simulation start order,
-  // the offline local-search loops) skip the sort entirely.
+  // Input that is already sorted (e.g. Schedule::active_set of an online
+  // run, whose starts usually follow job ids) skips the sort entirely.
   const auto by_lo = [](const Interval& a, const Interval& b) {
     return a.lo < b.lo;
   };

@@ -17,14 +17,21 @@ Time clamp_time(Time value, Time lo, Time hi) {
 /// Candidate starts for job j against a fixed set of other intervals:
 /// window endpoints plus alignments of either end of j's interval with any
 /// endpoint of the fixed union. The marginal-span function is piecewise
-/// linear with breakpoints exactly here.
+/// linear with breakpoints exactly here. Only components that meet j's
+/// reach [a, d+p) are scanned: an endpoint e <= a clamps (as e and e-p) to
+/// a, and e >= d+p clamps to d, both of which are candidates already.
 void collect_candidates(const Job& j, const IntervalSet& others,
                         std::vector<Time>& out) {
   out.clear();
   out.push_back(j.arrival);
   out.push_back(j.deadline);
-  for (const Interval& c : others.components()) {
-    for (const Time e : {c.lo, c.hi}) {
+  const std::vector<Interval>& comps = others.components();
+  const Time reach_end = j.latest_completion();
+  auto it = std::partition_point(
+      comps.begin(), comps.end(),
+      [&](const Interval& c) { return c.hi <= j.arrival; });
+  for (; it != comps.end() && it->lo < reach_end; ++it) {
+    for (const Time e : {it->lo, it->hi}) {
       out.push_back(clamp_time(e, j.arrival, j.deadline));
       out.push_back(clamp_time(e - j.length, j.arrival, j.deadline));
     }
@@ -71,10 +78,7 @@ bool improve_pass(const Instance& inst, std::vector<Time>& starts,
   bool moved = false;
   std::vector<Time> scratch;
   // Every job's active interval plus the same list sorted by left
-  // endpoint, maintained across moves. "Everyone else's union" is then a
-  // linear skip-copy of the sorted list, and the bulk IntervalSet
-  // constructor sees pre-sorted input, so it never pays a sort — where
-  // rebuilding via n× add() per candidate job made this pass O(n² log n).
+  // endpoint, maintained across moves with replace_in_sorted.
   std::vector<Interval> intervals(inst.size());
   std::vector<Interval> sorted;
   sorted.reserve(inst.size());
@@ -84,20 +88,31 @@ bool improve_pass(const Instance& inst, std::vector<Time>& starts,
   }
   std::sort(sorted.begin(), sorted.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> others_intervals;
+  const Time max_len = inst.max_length();
+  IntervalSet others;
   for (const JobId id : order) {
     const Job& j = inst.job(id);
-    others_intervals.clear();
-    others_intervals.reserve(sorted.size());
+    // "Everyone else's union", restricted to the intervals that meet j's
+    // reach [a, d+p): every candidate start and every marginal depends on
+    // the union only inside the reach. An interval with lo <= a - max_len
+    // ends by a, so a binary search skips all of those; the rest of the
+    // scan is sorted by lo, so each add_hint is O(1).
+    const Time reach_end = j.latest_completion();
+    const Time scan_after = j.arrival.saturating_sub(max_len);
+    auto it = std::partition_point(
+        sorted.begin(), sorted.end(),
+        [&](const Interval& iv) { return iv.lo <= scan_after; });
+    others.clear();
     bool skipped = false;
-    for (const Interval& iv : sorted) {
-      if (!skipped && iv == intervals[id]) {
+    for (; it != sorted.end() && it->lo < reach_end; ++it) {
+      if (!skipped && *it == intervals[id]) {
         skipped = true;  // drop exactly one instance of this job's interval
         continue;
       }
-      others_intervals.push_back(iv);
+      if (it->hi > j.arrival) {
+        others.add_hint(*it);
+      }
     }
-    const IntervalSet others(std::move(others_intervals));
     const Time current_marginal =
         others.uncovered_measure(j.active_interval(starts[id]));
     const auto [best_start, best_marginal] = best_placement(j, others, scratch);
@@ -164,7 +179,9 @@ HeuristicResult heuristic_optimal(const Instance& instance,
       }
     }
     const Time span = span_of(instance, starts);
-    if (span < best_span) {
+    // The first order always seeds the incumbent: a span of exactly
+    // Time::max() (a union reaching the end of the time axis) is legal.
+    if (best_starts.empty() || span < best_span) {
       best_span = span;
       best_starts = starts;
     }
