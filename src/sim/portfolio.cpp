@@ -121,29 +121,45 @@ void PortfolioRunner::disable_prefix_replay() {
 PortfolioRunner::PrefixLineage& PortfolioRunner::lineage_for(
     const PortfolioEntry& entry) {
   const std::type_info& type = typeid(*entry.scheduler);
-  for (auto& lin : lineages_) {
-    if (lin->scheduler == entry.scheduler &&
-        lin->clairvoyant == entry.clairvoyant) {
-      if (*lin->type == type && lin->name == entry.scheduler->name()) {
-        return *lin;
-      }
-      // Same address, different scheduler (the old object was destroyed
-      // and this one reuses its storage): the captured checkpoints encode
-      // the OLD scheduler's decisions, so retire them.
-      lin->has_base = false;
-      lin->series = EngineCheckpointSeries{};
-      lin->type = &type;
-      lin->name = entry.scheduler->name();
-      return *lin;
+  ++lineage_clock_;
+  PrefixLineage* lin = nullptr;
+  for (auto& candidate : lineages_) {
+    if (candidate->scheduler == entry.scheduler &&
+        candidate->clairvoyant == entry.clairvoyant) {
+      lin = candidate.get();
+      break;
     }
   }
-  lineages_.push_back(std::make_unique<PrefixLineage>());
-  PrefixLineage& lin = *lineages_.back();
-  lin.scheduler = entry.scheduler;
-  lin.clairvoyant = entry.clairvoyant;
-  lin.type = &type;
-  lin.name = entry.scheduler->name();
-  return lin;
+  if (lin != nullptr && *lin->type == type &&
+      lin->name == entry.scheduler->name()) {
+    lin->last_use = lineage_clock_;
+    return *lin;
+  }
+  if (lin == nullptr) {
+    if (lineages_.size() < kMaxPrefixLineages) {
+      lineages_.push_back(std::make_unique<PrefixLineage>());
+      lin = lineages_.back().get();
+    } else {
+      lin = std::min_element(lineages_.begin(), lineages_.end(),
+                             [](const auto& a, const auto& b) {
+                               return a->last_use < b->last_use;
+                             })
+                ->get();
+    }
+  }
+  // A fresh lineage, the least recently used one (its scheduler was most
+  // likely replaced), or the same address now holding a different
+  // scheduler (the old object was destroyed and this one reuses its
+  // storage). Any captured checkpoints encode another scheduler's
+  // decisions, so retire them.
+  lin->scheduler = entry.scheduler;
+  lin->clairvoyant = entry.clairvoyant;
+  lin->last_use = lineage_clock_;
+  lin->type = &type;
+  lin->name = entry.scheduler->name();
+  lin->has_base = false;
+  lin->series = EngineCheckpointSeries{};
+  return *lin;
 }
 
 Time PortfolioRunner::prefix_span(const PortfolioEntry& entry,

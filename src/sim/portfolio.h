@@ -25,6 +25,7 @@
 // per-run sources/oracles (shared_timeline() reports which path ran).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -183,6 +184,17 @@ class PortfolioRunner {
 
   const PrefixReplayStats& prefix_stats() const { return prefix_stats_; }
 
+  /// Cap on retained lineages. A runner cannot see a scheduler object die,
+  /// so when a new (scheduler, model) pair arrives at the cap, the least
+  /// recently used lineage is retired and its slot reused: callers that
+  /// replace scheduler objects (the miner rebuilds one per mined key) keep
+  /// a bounded cache. A batch with more pairs than this replays correctly
+  /// but loses prefix hits.
+  static constexpr std::size_t kMaxPrefixLineages = 32;
+
+  /// Number of lineages currently retained (<= kMaxPrefixLineages).
+  std::size_t prefix_lineage_count() const { return lineages_.size(); }
+
   /// Full-result mode: one SimulationResult per entry (realized instance,
   /// validated schedule, optional trace). Still amortizes the prepared
   /// timeline across entries on the non-adaptive path.
@@ -197,6 +209,7 @@ class PortfolioRunner {
   struct PrefixLineage {
     const OnlineScheduler* scheduler = nullptr;
     bool clairvoyant = false;
+    std::uint64_t last_use = 0;
     const std::type_info* type = nullptr;
     std::string name;
     bool has_base = false;
@@ -228,6 +241,7 @@ class PortfolioRunner {
   bool prefix_nonclairvoyant_ = false;
   std::size_t prefix_max_checkpoints_ = EngineCheckpointSeries::kDefaultSlots;
   std::vector<std::unique_ptr<PrefixLineage>> lineages_;
+  std::uint64_t lineage_clock_ = 0;
   PrefixReplayStats prefix_stats_;
 };
 
