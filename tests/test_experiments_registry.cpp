@@ -4,6 +4,8 @@
 // failing-verdict experiment.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "experiments/runner.h"
 #include "support/assert.h"
 #include "support/json.h"
+#include "support/rng.h"
 #include "support/telemetry.h"
 
 namespace fjs::experiments {
@@ -121,6 +124,34 @@ TEST(Json, ParseDumpRoundTrip) {
   EXPECT_EQ(JsonValue::parse(doc.dump()), doc);
   EXPECT_EQ(JsonValue::parse(doc.dump(0)), doc);
   EXPECT_THROW(JsonValue::parse("{\"unterminated\": "), AssertionError);
+}
+
+TEST(Json, NumbersRoundTripAndIntegersPrintWithoutExponent) {
+  // Property: every finite double dumps to text that parses back to the
+  // same value, and integral values below 2^53 dump as plain integers.
+  Rng rng(2026);
+  std::vector<double> values = {0.0,  1.0,         -1.0,      10.0,
+                                30.0, 29500.0,     1e15,      0x1p53 - 1,
+                                -(0x1p53 - 1),     0x1p53,    1e300,
+                                0.1,  1e-9,        -2.5e-300, 123456.75};
+  for (int i = 0; i < 2000; ++i) {
+    const int bits = static_cast<int>(rng.uniform_int(0, 52));
+    const auto magnitude =
+        rng.uniform_int(0, (std::int64_t{2} << bits) - 1);  // < 2^53
+    const double integral =
+        static_cast<double>(rng.uniform_int(0, 1) == 0 ? magnitude : -magnitude);
+    values.push_back(integral);
+    values.push_back(integral / 1024.0);
+    values.push_back(std::ldexp(integral + 0.5,
+                                static_cast<int>(rng.uniform_int(-60, 60))));
+  }
+  for (const double v : values) {
+    const std::string text = JsonValue::number(v).dump(0);
+    EXPECT_EQ(JsonValue::parse(text).as_number(), v) << text;
+    if (std::fabs(v) < 0x1p53 && v == std::trunc(v)) {
+      EXPECT_EQ(text, std::to_string(static_cast<std::int64_t>(v)));
+    }
+  }
 }
 
 RunReport sample_report() {
