@@ -20,9 +20,11 @@ trends between two fjs_experiments manifest.json files (warnings only).
 With --allocs the script additionally compares the `allocs_per_sim`
 counter (emitted by benchmarks built with -DFJS_COUNT_ALLOCS=ON, e.g.
 BM_PortfolioSpan) between the two files. Any growth is reported as a
-warning but is never fatal: allocation counts are deterministic, so the
-column catches a regression re-introducing per-simulation allocations
-without turning baseline refreshes into a chore.
+warning and listed under `allocs_grew` in the --json summary; the exit
+status ignores it, and scripts/reproduce.sh fails on a non-empty
+`allocs_grew` instead: allocation counts are deterministic, so any
+growth is a regression re-introducing per-simulation allocations or a
+deliberate cost to acknowledge with a baseline refresh.
 
 Benchmarks present in only one file are reported as added/removed with a
 warning but are never fatal, so the gate does not block adding or
@@ -111,10 +113,11 @@ def compare_allocs(baseline_path, current_path, counter="allocs_per_sim"):
     """Warns when a benchmark's per-simulation allocation count grew.
 
     Counter values come from FJS_COUNT_ALLOCS builds and are exact (the
-    hook counts operator new calls), so any growth is a real change — but
-    the gate stays non-fatal: the baseline may predate the counter, and a
-    deliberate feature is allowed to cost an allocation once it is
-    acknowledged by refreshing the baseline.
+    hook counts operator new calls), so any growth is a real change. The
+    exit status ignores it; callers that gate on it (scripts/reproduce.sh)
+    read the returned list from the --json summary. A deliberate feature
+    is allowed to cost an allocation once it is acknowledged by
+    refreshing the baseline.
 
     Returns the list of benchmark names whose count grew.
     """
@@ -143,8 +146,7 @@ def compare_allocs(baseline_path, current_path, counter="allocs_per_sim"):
     if grew:
         print(f"warning: {len(grew)} benchmark(s) allocate more per "
               f"simulation than the baseline: {', '.join(grew)} "
-              "(non-fatal; refresh the baseline only if the growth is "
-              "intentional)")
+              "(refresh the baseline only if the growth is intentional)")
     return grew
 
 

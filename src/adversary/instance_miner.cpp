@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -16,7 +17,6 @@
 #include "support/assert.h"
 #include "support/parallel.h"
 #include "support/rng.h"
-#include "support/simd.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 
@@ -226,9 +226,8 @@ class BatchEvaluator {
       }
     }
     std::vector<double> values(batch.size(), kPending);
-    // Lane-parallel LB pre-screen: every memo-missed candidate whose
-    // span-free ratio upper bound cannot beat the frozen threshold is
-    // settled here, in lockstep over a padded row-major column batch,
+    // LB pre-screen: every memo-missed candidate whose span-free ratio
+    // upper bound cannot beat the frozen threshold is settled here,
     // before a single simulation is dispatched. Serial on the calling
     // thread — the survivor list (and every settled value) is the same
     // for any pool size.
@@ -274,17 +273,13 @@ class BatchEvaluator {
  private:
   static constexpr double kPending = 0.0;  // placeholder until filled above
 
-  /// The lockstep pre-screen (MinerOptions::screen_lb_precut). For lane k
-  /// (memo miss k), the SIMD kernel reduces min arrival, max saturated
-  /// d + p, max length and saturating total length over the candidate's
-  /// rows. Any engine schedule runs inside [min a, max d+p), every busy
-  /// instant runs at least one job (so span <= sum p too), and
-  /// OPT >= max p; hence
-  /// ratio_ub = min(max_dp - min_a, sum_p) / max_p bounds span/OPT from
-  /// above. ratio_ub <= threshold settles the candidate at ratio_ub
-  /// (always unselectable under the non-decreasing threshold — see the
-  /// header contract); the rest survive into the returned evaluation list.
-  /// Returns `misses` itself when screening is off or inapplicable.
+  /// The pre-screen (MinerOptions::screen_lb_precut): each memo miss's
+  /// screen_ratio_bound (the parent with the victim patched in, or the
+  /// seed table) bounds span/OPT from above. ratio_ub <= threshold
+  /// settles the candidate at ratio_ub (always unselectable under the
+  /// non-decreasing threshold — see the header contract); the rest
+  /// survive into the returned evaluation list. Returns `misses` itself
+  /// when screening is off.
   const std::vector<std::size_t>& screen(const JobTable& parent,
                                          const std::vector<Candidate>& batch,
                                          const std::vector<std::size_t>& misses,
@@ -294,69 +289,24 @@ class BatchEvaluator {
     if (!options_.screen_lb_precut || threshold <= 0.0 || misses.empty()) {
       return misses;
     }
-    const auto row_count = [&](std::size_t i) {
-      return batch[i].is_seed ? batch[i].table.size() : parent.size();
-    };
-    const std::size_t rows = row_count(misses[0]);
-    if (rows == 0) {
-      return misses;
-    }
-    for (const std::size_t m : misses) {
-      if (row_count(m) != rows) {
-        return misses;  // heterogeneous batch: lanes would not align
-      }
-    }
-    const std::size_t lanes = misses.size();
-    screen_a_.resize(rows * lanes);
-    screen_d_.resize(rows * lanes);
-    screen_p_.resize(rows * lanes);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      const Candidate& c = batch[misses[k]];
-      const InstanceView v = c.is_seed ? c.table.view() : parent.view();
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t idx = r * lanes + k;
-        const auto id = static_cast<JobId>(r);
-        if (!c.is_seed && id == c.victim) {
-          screen_a_[idx] = c.arrival.ticks();
-          screen_d_[idx] = c.deadline.ticks();
-          screen_p_[idx] = c.length.ticks();
-        } else {
-          screen_a_[idx] = v.arrival(id).ticks();
-          screen_d_[idx] = v.deadline(id).ticks();
-          screen_p_[idx] = v.length(id).ticks();
-        }
-      }
-    }
-    screen_min_a_.resize(lanes);
-    screen_max_dp_.resize(lanes);
-    screen_max_p_.resize(lanes);
-    screen_sum_p_.resize(lanes);
-    simd::lockstep_screen(screen_a_.data(), screen_d_.data(), screen_p_.data(),
-                          rows, lanes, screen_min_a_.data(),
-                          screen_max_dp_.data(), screen_max_p_.data(),
-                          screen_sum_p_.data());
     survivors_.clear();
-    for (std::size_t k = 0; k < lanes; ++k) {
-      const std::size_t i = misses[k];
-      std::int64_t horizon = 0;
-      const bool bounded =
-          screen_max_p_[k] > 0 && screen_sum_p_[k] > 0 &&
-          !__builtin_sub_overflow(screen_max_dp_[k], screen_min_a_[k],
-                                  &horizon) &&
-          horizon > 0;
-      if (bounded) {
-        const double ratio_ub =
-            time_ratio(Time(std::min(horizon, screen_sum_p_[k])),
-                       Time(screen_max_p_[k]));
-        if (ratio_ub <= threshold) {
-          values[i] = ratio_ub;
-          if (options_.use_objective_memo) {
-            *slots[i] = ratio_ub;
-          }
-          ++screen_rejects_;
-          g_tm_screen_rejects.increment();
-          continue;
+    for (const std::size_t i : misses) {
+      const Candidate& c = batch[i];
+      const std::optional<double> ratio_ub =
+          c.is_seed ? screen_ratio_bound(c.table.view())
+                    : screen_ratio_bound(parent.view(), c.victim,
+                                         Job{.id = c.victim,
+                                             .arrival = c.arrival,
+                                             .deadline = c.deadline,
+                                             .length = c.length});
+      if (ratio_ub && *ratio_ub <= threshold) {
+        values[i] = *ratio_ub;
+        if (options_.use_objective_memo) {
+          *slots[i] = *ratio_ub;
         }
+        ++screen_rejects_;
+        g_tm_screen_rejects.increment();
+        continue;
       }
       survivors_.push_back(i);
     }
@@ -392,16 +342,33 @@ class BatchEvaluator {
   std::unordered_map<MemoKey, double, MemoKeyHash> memo_;
   MemoKey key_scratch_;  // reused per candidate; copied only on insert
   std::size_t memo_hits_ = 0;
-  // Pre-screen scratch (capacity reused across batches: the steady state
-  // allocates nothing once every vector has grown to the batch shape).
-  std::vector<std::int64_t> screen_a_, screen_d_, screen_p_;
-  std::vector<std::int64_t> screen_min_a_, screen_max_dp_, screen_max_p_,
-      screen_sum_p_;
-  std::vector<std::size_t> survivors_;
+  std::vector<std::size_t> survivors_;  // screen output; capacity reused
   std::size_t screen_rejects_ = 0;
 };
 
 }  // namespace
+
+std::optional<double> screen_ratio_bound(InstanceView view, JobId victim,
+                                         const Job& patch) {
+  Time min_a = Time::max();
+  Time max_dp = Time::min();
+  Time max_p = Time::min();
+  Time sum_p = Time::zero();
+  for (JobId id = 0; id < view.size(); ++id) {
+    const Job j = id == victim ? patch : view.job(id);
+    min_a = std::min(min_a, j.arrival);
+    max_dp = std::max(max_dp, j.deadline.saturating_add(j.length));
+    max_p = std::max(max_p, j.length);
+    sum_p = sum_p.saturating_add(j.length);
+  }
+  std::int64_t horizon = 0;
+  if (max_p <= Time::zero() || sum_p <= Time::zero() ||
+      __builtin_sub_overflow(max_dp.ticks(), min_a.ticks(), &horizon) ||
+      horizon <= 0) {
+    return std::nullopt;
+  }
+  return time_ratio(Time(std::min(horizon, sum_p.ticks())), max_p);
+}
 
 MinerResult mine_instance(
     const std::function<double(const Instance&)>& objective,
@@ -559,9 +526,9 @@ MinerResult mine_worst_case(const std::string& scheduler_key,
                             MinerOptions options) {
   const auto probe = make_scheduler(scheduler_key);
   const bool clairvoyant = probe->requires_clairvoyance();
-  // This objective is span/OPT: the lockstep LB pre-screen's span-free
-  // upper bound is sound for it (and for no arbitrary mine_instance
-  // objective), so opt in here.
+  // This objective is span/OPT: the LB pre-screen's span-free upper bound
+  // is sound for it (and for no arbitrary mine_instance objective), so opt
+  // in here.
   options.screen_lb_precut = true;
   auto budget_skips = std::make_shared<std::atomic<std::size_t>>(0);
   struct PrefixCounters {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,20 +44,19 @@ struct MinerOptions {
   /// revisited instance is never re-solved. The objective is required to be
   /// deterministic, so memoization never changes any result.
   bool use_objective_memo = true;
-  /// Lane-parallel lower-bound pre-screen (SIMD lockstep over the batch's
-  /// padded columns, support/simd.h): before any candidate is dispatched,
-  /// settle every candidate whose span-free ratio upper bound
-  /// min(latest_completion - earliest_arrival, total_work) / max_length
-  /// cannot exceed the frozen threshold — without simulating or certifying
-  /// it. Sound ONLY for objectives bounded by span/OPT (any engine
-  /// schedule runs inside [earliest arrival, latest completion), every
-  /// busy instant runs at least one job, and OPT >= max length), so this
-  /// is opt-in: mine_worst_case enables it; generic mine_instance
-  /// objectives must not. Value-safe by the thresholded-objective
-  /// contract below — settled values are <= the threshold, hence never
-  /// selectable, and trajectories/worst instances are unchanged for any
-  /// pool size and memo setting. Screening runs serially on the calling
-  /// thread, so it is deterministic for any thread count.
+  /// Lower-bound pre-screen: before any candidate is dispatched, settle
+  /// every candidate whose span-free ratio upper bound
+  /// (screen_ratio_bound) cannot exceed the frozen threshold — without
+  /// simulating or certifying it. Sound ONLY for objectives bounded by
+  /// span/OPT (any engine schedule runs inside [earliest arrival, latest
+  /// completion), every busy instant runs at least one job, and
+  /// OPT >= max length), so this is opt-in: mine_worst_case enables it;
+  /// generic mine_instance objectives must not. Value-safe by the
+  /// thresholded-objective contract below — settled values are <= the
+  /// threshold, hence never selectable, and trajectories/worst instances
+  /// are unchanged for any pool size and memo setting. Screening runs
+  /// serially on the calling thread, so it is deterministic for any
+  /// thread count.
   bool screen_lb_precut = false;
 };
 
@@ -75,9 +75,9 @@ struct MinerResult {
   /// mine_worst_case only: candidates discarded because the exact solver's
   /// node budget ran out before certifying OPT (objective treated as 0).
   std::size_t budget_skips = 0;
-  /// Candidates settled by the lane-parallel LB pre-screen (no simulation,
-  /// no certification; see MinerOptions::screen_lb_precut). Objective
-  /// calls are evaluations - memo_hits - screen_rejects.
+  /// Candidates settled by the LB pre-screen (no simulation, no
+  /// certification; see MinerOptions::screen_lb_precut). Objective calls
+  /// are evaluations - memo_hits - screen_rejects.
   std::size_t screen_rejects = 0;
   /// mine_worst_case only: checkpointed prefix-replay cache counters for
   /// the online-simulation half of the objective (see PrefixReplayStats).
@@ -95,6 +95,19 @@ struct MinerResult {
                                   static_cast<double>(prefix_hits);
   }
 };
+
+/// The span-free upper bound on span/OPT that MinerOptions::
+/// screen_lb_precut settles candidates with:
+///   min(max (d + p) - min a, sum p) / max p
+/// over `view`, reading row `victim` as `patch` (kInvalidJob: no patch).
+/// Any engine schedule runs inside [min a, max (d + p)), every busy instant
+/// runs at least one job (so span <= sum p too), and OPT >= max p. Each
+/// d + p and every step of sum p saturates like Time::saturating_add.
+/// nullopt when the bound is undefined: a non-positive max p, sum p or
+/// window, or a window wider than int64.
+std::optional<double> screen_ratio_bound(InstanceView view,
+                                         JobId victim = kInvalidJob,
+                                         const Job& patch = {});
 
 /// Mines a worst case for the scheduler registry key (clairvoyance is
 /// inferred): objective = exact competitive ratio. Deterministic for

@@ -1,42 +1,52 @@
 #include "core/job_table.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 #include <sstream>
 
-#include "support/simd.h"
+#include "support/telemetry.h"
 
 namespace fjs {
+namespace {
+
+// Always 0: the vector kernel layer that counted lanes is gone. It stays
+// registered here, in a translation unit every binary links, because
+// perfbench's per-layer `support.simd.lanes_used` metric reads it and
+// drops the metric when the counter is missing; retire both together.
+telemetry::Counter g_tm_simd_lanes_used{"simd.lanes_used",
+                                        telemetry::Stability::kDeterministic};
+
+/// Fills `out` with 0..n-1 ordered by (keys[id], id).
+void sort_ids_by_key(std::span<const Time> keys, std::vector<JobId>& out) {
+  out.resize(keys.size());
+  std::iota(out.begin(), out.end(), JobId{0});
+  std::sort(out.begin(), out.end(), [keys](JobId x, JobId y) {
+    if (keys[x] != keys[y]) {
+      return keys[x] < keys[y];
+    }
+    return x < y;
+  });
+}
+
+}  // namespace
 
 double InstanceView::mu() const {
   FJS_REQUIRE(!empty(), "mu of empty instance");
-  const simd::MinMax mm = simd::minmax_ticks(lengths_.data(), lengths_.size());
-  return time_ratio(Time(mm.max), Time(mm.min));
+  const auto [lo, hi] = std::minmax_element(lengths_.begin(), lengths_.end());
+  return time_ratio(*hi, *lo);
 }
 
 Time InstanceView::min_length() const {
   FJS_REQUIRE(!empty(), "min_length of empty instance");
-  return Time(simd::minmax_ticks(lengths_.data(), lengths_.size()).min);
+  return *std::min_element(lengths_.begin(), lengths_.end());
 }
 
 Time InstanceView::max_length() const {
   FJS_REQUIRE(!empty(), "max_length of empty instance");
-  return Time(simd::minmax_ticks(lengths_.data(), lengths_.size()).max);
+  return *std::max_element(lengths_.begin(), lengths_.end());
 }
 
 Time InstanceView::total_work() const {
-  if (empty()) {
-    return Time::zero();
-  }
-  const simd::SatSum s =
-      simd::sum_saturating_nonneg(lengths_.data(), lengths_.size());
-  if (!s.overflowed) {
-    return Time(s.sum);
-  }
-  // Overflow (or negative lengths in an unvalidated scratch, which the
-  // kernel's carry check also routes here): re-run the checked scalar
-  // loop so the result — value or AssertionError — is exactly the
-  // pre-kernel behavior.
   Time total = Time::zero();
   for (const Time p : lengths_) {
     total = total.checked_add(p);
@@ -45,23 +55,8 @@ Time InstanceView::total_work() const {
 }
 
 Time InstanceView::total_work_saturating(bool* overflowed) const {
-  if (empty()) {
-    if (overflowed != nullptr) {
-      *overflowed = false;
-    }
-    return Time::zero();
-  }
-  const simd::SatSum s =
-      simd::sum_saturating_nonneg(lengths_.data(), lengths_.size());
-  if (!s.overflowed) {
-    if (overflowed != nullptr) {
-      *overflowed = false;
-    }
-    return Time(s.sum);
-  }
-  // Lengths are positive in a validated table, so the saturating sum only
-  // ever clips at Time::max(); the legacy step-wise loop stays the
-  // authority for the (rare) clipped case and for unvalidated inputs.
+  // Lengths are positive in a validated table, so the step-wise sum only
+  // ever clips at Time::max().
   bool clipped = false;
   Time total = Time::zero();
   for (const Time p : lengths_) {
@@ -80,18 +75,11 @@ Time InstanceView::total_work_saturating(bool* overflowed) const {
 
 Time InstanceView::earliest_arrival() const {
   FJS_REQUIRE(!empty(), "earliest_arrival of empty instance");
-  return Time(simd::minmax_ticks(arrivals_.data(), arrivals_.size()).min);
+  return *std::min_element(arrivals_.begin(), arrivals_.end());
 }
 
 Time InstanceView::latest_completion() const {
   FJS_REQUIRE(!empty(), "latest_completion of empty instance");
-  const simd::MaxSum s = simd::max_pairwise_sum(
-      deadlines_.data(), lengths_.data(), deadlines_.size());
-  if (!s.overflowed) {
-    return Time(s.max);
-  }
-  // Some d + p is unrepresentable: re-run the checked scalar loop so the
-  // AssertionError fires at the same row with the same message.
   Time m = Time::min();
   for (std::size_t i = 0; i < deadlines_.size(); ++i) {
     m = std::max(m, deadlines_[i].checked_add(lengths_[i]));
@@ -100,11 +88,11 @@ Time InstanceView::latest_completion() const {
 }
 
 void InstanceView::ids_by_arrival(std::vector<JobId>& out) const {
-  simd::sort_ids_by_key(arrivals_.data(), arrivals_.size(), out);
+  sort_ids_by_key(arrivals_, out);
 }
 
 void InstanceView::ids_by_deadline(std::vector<JobId>& out) const {
-  simd::sort_ids_by_key(deadlines_.data(), deadlines_.size(), out);
+  sort_ids_by_key(deadlines_, out);
 }
 
 std::vector<JobId> InstanceView::ids_by_arrival() const {

@@ -1,13 +1,11 @@
 // Columnar (SoA) job storage and the non-owning view over it.
 //
-// JobTable holds the three job columns (arrival, deadline, length) in
-// parallel 64-byte-aligned, tail-padded columns (support/aligned.h)
-// indexed by JobId — the alignment contract the SIMD kernels
-// (support/simd.h) rely on for the owned path. InstanceView is a std::span-based
-// window onto those columns: every heavy consumer (engine lowering, the
-// offline bounds, the exact-solver pre-pass, the miner's batch
-// evaluator) reads jobs through a view, so a mutation scratch buffer
-// can be evaluated without materializing an owning Instance.
+// JobTable holds the three job columns (arrival, deadline, length) as
+// parallel std::vector<Time> columns indexed by JobId. InstanceView is a
+// std::span-based window onto those columns: every heavy consumer (engine
+// lowering, the offline bounds, the exact-solver pre-pass, the miner's
+// batch evaluator) reads jobs through a view, so a mutation scratch
+// buffer can be evaluated without materializing an owning Instance.
 //
 // Lifetime rule: a view never outlives the columns it was taken from,
 // and any growth of the table (push_back / reserve beyond capacity)
@@ -22,7 +20,6 @@
 #include <vector>
 
 #include "core/job.h"
-#include "support/aligned.h"
 #include "support/assert.h"
 
 namespace fjs {
@@ -267,12 +264,9 @@ class JobTable {
   }
 
  private:
-  // AlignedColumn (not std::vector): 64-byte-aligned bases with
-  // zero-filled tail padding to a 64-byte multiple, so vector kernels may
-  // read full lanes past size() on the owned path. See DATA_MODEL.md.
-  AlignedColumn<Time> arrival_;
-  AlignedColumn<Time> deadline_;
-  AlignedColumn<Time> length_;
+  std::vector<Time> arrival_;
+  std::vector<Time> deadline_;
+  std::vector<Time> length_;
 };
 
 }  // namespace fjs

@@ -25,12 +25,10 @@
 #include "offline/annealing.h"
 #include "offline/exact.h"
 #include "offline/heuristic.h"
-#include "offline/lower_bound.h"
 #include "schedulers/registry.h"
 #include "sim/portfolio.h"
 #include "support/alloc_counter.h"
 #include "support/rng.h"
-#include "support/simd.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 #include "workload/generator.h"
@@ -139,9 +137,9 @@ void exact_solver_reference(benchmark::State& state) {
   }
 }
 
-// Miner throughput at fixed search effort (identical candidate sequences
-// in both variants — the objective values, and therefore the
-// hill-climbing path, are the same). items/s counts candidate evaluations.
+// Miner throughput at fixed search effort (a fixed seed, so every run
+// proposes the same candidate sequence). items/s counts candidate
+// evaluations.
 MinerOptions miner_bench_options() {
   MinerOptions options;
   options.population = 32;
@@ -156,28 +154,6 @@ void miner(benchmark::State& state) {
   std::size_t evaluations = 0;
   for (auto _ : state) {
     const MinerResult result = mine_worst_case("batch", miner_bench_options());
-    evaluations += result.evaluations;
-    benchmark::DoNotOptimize(result.worst_ratio);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(evaluations));
-  state.SetLabel("candidate evaluations");
-}
-
-// The pre-PR-2 mining stack at the same search effort: no objective memo
-// and grid-DFS certification.
-void miner_legacy(benchmark::State& state) {
-  MinerOptions options = miner_bench_options();
-  options.use_objective_memo = false;
-  const bool clairvoyant = make_scheduler("batch")->requires_clairvoyance();
-  std::size_t evaluations = 0;
-  for (auto _ : state) {
-    const MinerResult result = mine_instance(
-        [clairvoyant](const Instance& instance) {
-          const auto scheduler = make_scheduler("batch");
-          const Time span = simulate_span(instance, *scheduler, clairvoyant);
-          return time_ratio(span, exact_optimal_span_reference(instance));
-        },
-        options);
     evaluations += result.evaluations;
     benchmark::DoNotOptimize(result.worst_ratio);
   }
@@ -315,64 +291,6 @@ void anneal(benchmark::State& state, bool incremental) {
   state.SetLabel("proposals");
 }
 
-// The SIMD layer's two hot reduction bundles (docs/PERF.md, "SIMD
-// kernels"), each in a /simd vs /scalar pair via the force-scalar
-// override. The pair is the speedup measurement — same build, same
-// inputs, only the dispatch tier differs — and the /scalar curve doubles
-// as the FJS_SIMD=OFF proxy BENCH_e9_scalar.json gates against.
-//
-// BM_ViewStats: the full derived-stat recompute an InstanceView pays on
-// every fresh read (minmax lengths, arrival/completion window, saturating
-// total work, both radix orderings) over a 4096-job view.
-void view_stats(benchmark::State& state, bool scalar) {
-  const Instance inst = bench_instance(4'096, 17);
-  const InstanceView view = inst.view();
-  simd::set_force_scalar(scalar);
-  std::vector<JobId> order;
-  view.ids_by_arrival(order);  // warm the buffer outside the loop
-  std::int64_t acc = 0;
-  for (auto _ : state) {
-    acc += view.min_length().ticks() + view.max_length().ticks();
-    acc += view.earliest_arrival().ticks();
-    acc += view.latest_completion().ticks();
-    bool overflowed = false;
-    acc += view.total_work_saturating(&overflowed).ticks();
-    view.ids_by_arrival(order);
-    acc += order.front();
-    view.ids_by_deadline(order);
-    acc += order.back();
-    benchmark::DoNotOptimize(acc);
-  }
-  simd::set_force_scalar(false);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(inst.size()));
-  state.SetLabel(scalar ? "forced scalar"
-                        : simd::tier_name(simd::active_tier()));
-}
-
-// BM_LowerBoundBatch: the vectorized offline certification bounds —
-// mandatory-work interval union (saturating a+p, compaction, radix-ordered
-// sweep) and the max-length bound (minmax reduction) — over the same
-// 4096-job view. chain_lower_bound is deliberately excluded: its cost is
-// the serial Pareto-front DP (docs/PERF.md), which no tier vectorizes, so
-// including it would only dilute the pair toward parity.
-void lower_bound_batch(benchmark::State& state, bool scalar) {
-  const Instance inst = bench_instance(4'096, 19);
-  const InstanceView view = inst.view();
-  simd::set_force_scalar(scalar);
-  std::int64_t acc = 0;
-  for (auto _ : state) {
-    acc += mandatory_lower_bound(view).ticks();
-    acc += max_length_lower_bound(view).ticks();
-    benchmark::DoNotOptimize(acc);
-  }
-  simd::set_force_scalar(false);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(inst.size()));
-  state.SetLabel(scalar ? "forced scalar"
-                        : simd::tier_name(simd::active_tier()));
-}
-
 void heuristic(benchmark::State& state) {
   const Instance inst =
       bench_instance(static_cast<std::size_t>(state.range(0)), 5);
@@ -508,26 +426,6 @@ void register_benchmarks(bool smoke) {
       b->MinTime(smoke_min_time);
     }
   }
-  // In both profiles: the SIMD speedup pair is what reproduce.sh's
-  // scalar-build gate (BENCH_e9_scalar.json) and the BENCH_e9.json smoke
-  // baseline read; /simd vs /scalar in one run is the speedup claim.
-  for (const bool scalar : {false, true}) {
-    const char* suffix = scalar ? "scalar" : "simd";
-    auto* stats = benchmark::RegisterBenchmark(
-        (std::string("BM_ViewStats/") + suffix).c_str(),
-        [scalar](benchmark::State& state) { view_stats(state, scalar); });
-    stats->Unit(benchmark::kMicrosecond);
-    auto* bounds = benchmark::RegisterBenchmark(
-        (std::string("BM_LowerBoundBatch/") + suffix).c_str(),
-        [scalar](benchmark::State& state) {
-          lower_bound_batch(state, scalar);
-        });
-    bounds->Unit(benchmark::kMicrosecond);
-    if (smoke) {
-      stats->MinTime(smoke_min_time);
-      bounds->MinTime(smoke_min_time);
-    }
-  }
   if (!smoke) {
     benchmark::RegisterBenchmark("BM_IntervalSetAddIncremental",
                                  interval_set_add_incremental)
@@ -543,9 +441,6 @@ void register_benchmarks(bool smoke) {
     // runs are the noisiest rows in the battery: pin 3 repetitions and
     // report only the aggregates (bench_compare.py gates on the median).
     benchmark::RegisterBenchmark("BM_Miner", miner)
-        ->Unit(benchmark::kMillisecond)
-        ->Repetitions(3)->ReportAggregatesOnly(true);
-    benchmark::RegisterBenchmark("BM_MinerLegacy", miner_legacy)
         ->Unit(benchmark::kMillisecond)
         ->Repetitions(3)->ReportAggregatesOnly(true);
     benchmark::RegisterBenchmark("BM_MinerIncremental", miner_incremental)

@@ -10,10 +10,12 @@
 // verdict passed, 1 on any failure, 2 on usage errors.
 #include <benchmark/benchmark.h>
 
+#include <charconv>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "experiments/registry.h"
@@ -47,14 +49,11 @@ void print_usage(std::ostream& os) {
      << "  --help               this text\n";
 }
 
+/// Whole-string decimal parse: no sign, no whitespace, no trailing text.
 bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
 std::vector<std::string> split_csv(const std::string& text) {

@@ -7,9 +7,11 @@
 //
 // Exit status: 0 when every instance passed every oracle, 1 on any
 // failure, 2 on usage errors.
+#include <charconv>
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "fuzz/harness.h"
@@ -34,14 +36,11 @@ void print_usage(std::ostream& os) {
      << "  --help               this text\n";
 }
 
+/// Whole-string decimal parse: no sign, no whitespace, no trailing text.
 bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
 int replay(const std::string& path, const fjs::FuzzOptions& options) {

@@ -21,7 +21,6 @@
 #include "sim/source.h"
 #include "sim/trace_check.h"
 #include "support/assert.h"
-#include "support/simd.h"
 
 namespace fjs {
 namespace {
@@ -611,112 +610,6 @@ Oracle view_vs_owned_oracle() {
       }};
 }
 
-/// The SIMD layer's bit-identity claim (support/simd.h): every vector
-/// tier compiled into this binary must return the exact bytes the scalar
-/// tier returns, for every kernel, on the instance's real columns. This
-/// re-checks the per-tier unit tests on every generated instance — the
-/// fuzzer reaches magnitude mixes (saturating sums, near-Time::max()
-/// completions, duplicate keys) the hand-picked edge cases may miss.
-Oracle simd_vs_scalar_oracle() {
-  return Oracle{
-      "simd-vs-scalar",
-      [](const Instance& instance) -> std::optional<std::string> {
-        const InstanceView view = instance.view();
-        const std::size_t n = view.size();
-        if (n == 0) {
-          return std::nullopt;
-        }
-        const Time* arrivals = view.arrivals().data();
-        const Time* deadlines = view.deadlines().data();
-        const Time* lengths = view.lengths().data();
-        for (const simd::Tier tier : simd::compiled_tiers()) {
-          if (tier == simd::Tier::kScalar) {
-            continue;
-          }
-          const std::string where = std::string("tier ") +
-                                    simd::tier_name(tier) + ": ";
-          for (const auto& [name, column] :
-               {std::pair{"arrivals", arrivals},
-                std::pair{"deadlines", deadlines},
-                std::pair{"lengths", lengths}}) {
-            const simd::MinMax v = simd::minmax_ticks(column, n, tier);
-            const simd::MinMax s =
-                simd::minmax_ticks(column, n, simd::Tier::kScalar);
-            if (v.min != s.min || v.max != s.max) {
-              return where + "minmax(" + name + ") diverges";
-            }
-          }
-          // Lengths are the one column the generator keeps strictly
-          // positive, matching the kernel's non-negative contract.
-          const simd::SatSum vsum =
-              simd::sum_saturating_nonneg(lengths, n, tier);
-          const simd::SatSum ssum =
-              simd::sum_saturating_nonneg(lengths, n, simd::Tier::kScalar);
-          if (vsum.sum != ssum.sum || vsum.overflowed != ssum.overflowed) {
-            return where + "sum_saturating_nonneg(lengths) diverges";
-          }
-          for (const auto& [name, a] : {std::pair{"deadlines", deadlines},
-                                        std::pair{"arrivals", arrivals}}) {
-            const simd::MaxSum vm = simd::max_pairwise_sum(a, lengths, n, tier);
-            const simd::MaxSum sm =
-                simd::max_pairwise_sum(a, lengths, n, simd::Tier::kScalar);
-            if (vm.overflowed != sm.overflowed ||
-                (!vm.overflowed && vm.max != sm.max)) {
-              return where + "max_pairwise_sum(" + name + " + lengths) diverges";
-            }
-          }
-          std::vector<std::int64_t> vec_out(n);
-          std::vector<std::int64_t> sca_out(n);
-          simd::saturating_sum_into(arrivals, lengths, vec_out.data(), n, tier);
-          simd::saturating_sum_into(arrivals, lengths, sca_out.data(), n,
-                                    simd::Tier::kScalar);
-          if (vec_out != sca_out) {
-            return where + "saturating_sum_into(arrivals + lengths) diverges";
-          }
-          std::vector<JobId> vec_ids;
-          std::vector<JobId> sca_ids;
-          for (const auto& [name, keys] : {std::pair{"arrivals", arrivals},
-                                           std::pair{"deadlines", deadlines}}) {
-            simd::sort_ids_by_key(keys, n, vec_ids, tier);
-            simd::sort_ids_by_key(keys, n, sca_ids, simd::Tier::kScalar);
-            if (vec_ids != sca_ids) {
-              return where + "sort_ids_by_key(" + name +
-                     ") permutations diverge";
-            }
-          }
-          // Lockstep screen over a synthetic rows x lanes batch: lane k
-          // reads the columns rotated by k rows, so lanes differ while
-          // every lane's reductions stay checkable against scalar.
-          const std::size_t lanes = std::min<std::size_t>(n, 5);
-          std::vector<std::int64_t> batch_a(n * lanes);
-          std::vector<std::int64_t> batch_d(n * lanes);
-          std::vector<std::int64_t> batch_p(n * lanes);
-          for (std::size_t r = 0; r < n; ++r) {
-            for (std::size_t k = 0; k < lanes; ++k) {
-              const std::size_t src = (r + k) % n;
-              batch_a[r * lanes + k] = arrivals[src].ticks();
-              batch_d[r * lanes + k] = deadlines[src].ticks();
-              batch_p[r * lanes + k] = lengths[src].ticks();
-            }
-          }
-          std::vector<std::int64_t> v_res(4 * lanes);
-          std::vector<std::int64_t> s_res(4 * lanes);
-          simd::lockstep_screen(batch_a.data(), batch_d.data(), batch_p.data(),
-                                n, lanes, v_res.data(), v_res.data() + lanes,
-                                v_res.data() + 2 * lanes,
-                                v_res.data() + 3 * lanes, tier);
-          simd::lockstep_screen(batch_a.data(), batch_d.data(), batch_p.data(),
-                                n, lanes, s_res.data(), s_res.data() + lanes,
-                                s_res.data() + 2 * lanes,
-                                s_res.data() + 3 * lanes, simd::Tier::kScalar);
-          if (v_res != s_res) {
-            return where + "lockstep_screen reductions diverge";
-          }
-        }
-        return std::nullopt;
-      }};
-}
-
 }  // namespace
 
 std::vector<Oracle> standard_oracles(const OracleOptions& options) {
@@ -735,10 +628,8 @@ std::vector<Oracle> standard_oracles(const OracleOptions& options) {
     oracles.push_back(exact_vs_reference_oracle(options));
   }
   // Always on — no gate, no size cap, no horizon cap: every other oracle
-  // reads the instance through this substrate, and every substrate stat
-  // dispatches through the SIMD layer.
+  // reads the instance through this substrate.
   oracles.push_back(view_vs_owned_oracle());
-  oracles.push_back(simd_vs_scalar_oracle());
   return oracles;
 }
 

@@ -6,7 +6,6 @@
 
 #include "core/interval_set.h"
 #include "support/assert.h"
-#include "support/simd.h"
 
 namespace fjs {
 namespace {
@@ -32,9 +31,9 @@ void sort_small(std::vector<T>& v, Less less) {
   }
 }
 
-/// The legacy row-at-a-time mandatory bound; stays the scalar-tier
-/// authority (and the FJS_FORCE_SCALAR differential reference).
-Time mandatory_lower_bound_scalar(InstanceView view) {
+}  // namespace
+
+Time mandatory_lower_bound(InstanceView view) {
   // Union measure over the mandatory regions without materializing an
   // IntervalSet: collect, sort by left endpoint, one linear pass. The
   // scratch is thread-local so the miner's per-candidate calls stop
@@ -56,65 +55,6 @@ Time mandatory_lower_bound_scalar(InstanceView view) {
   sort_small(mandatory,
              [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
   return IntervalSet::sorted_union_measure(mandatory);
-}
-
-}  // namespace
-
-Time mandatory_lower_bound(InstanceView view) {
-  const simd::Tier tier = simd::active_tier();
-  if (tier == simd::Tier::kScalar || view.size() <= 32) {
-    // Tiny inputs: the vector setup (scatter + radix scratch) costs more
-    // than the insertion sort it replaces, and the scalar tier must run
-    // the legacy code verbatim for the force-scalar differential.
-    return mandatory_lower_bound_scalar(view);
-  }
-  // Vector path, bit-identical by construction: (1) the window closes
-  // hi = a + p come from the lane-parallel saturating kernel (same clamp
-  // rule as Time::saturating_add); (2) the non-empty windows compact into
-  // SoA lo/hi scratch; (3) ids order by lo via the radix kernel (ties by
-  // id — union measure is invariant to tie order); (4) a fused linear
-  // pass reproduces IntervalSet::sorted_union_measure's run merging
-  // (skip-empty already handled by the compaction, lo >= run_lo holds by
-  // the sort). Same intervals, same canonical union — same Time.
-  const std::size_t n = view.size();
-  thread_local std::vector<std::int64_t> hi_scratch;
-  thread_local std::vector<Time> lo_compact;
-  thread_local std::vector<Time> hi_compact;
-  thread_local std::vector<JobId> order;
-  hi_scratch.resize(n);
-  simd::saturating_sum_into(view.arrivals().data(), view.lengths().data(),
-                            hi_scratch.data(), n, tier);
-  lo_compact.clear();
-  hi_compact.clear();
-  const std::span<const Time> deadlines = view.deadlines();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Time lo = deadlines[i];
-    const Time hi = Time(hi_scratch[i]);
-    if (lo < hi) {  // Interval::empty() is hi <= lo
-      lo_compact.push_back(lo);
-      hi_compact.push_back(hi);
-    }
-  }
-  if (lo_compact.empty()) {
-    return Time::zero();
-  }
-  simd::sort_ids_by_key(lo_compact.data(), lo_compact.size(), order, tier);
-  Time total = Time::zero();
-  Time run_lo = lo_compact[order[0]];
-  Time run_hi = hi_compact[order[0]];
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const Time lo = lo_compact[order[i]];
-    const Time hi = hi_compact[order[i]];
-    if (lo > run_hi) {
-      total += run_hi - run_lo;
-      run_lo = lo;
-      run_hi = hi;
-    } else {
-      run_hi = std::max(run_hi, hi);
-    }
-  }
-  total += run_hi - run_lo;
-  return total;
 }
 
 Time chain_lower_bound(InstanceView view) {
@@ -164,11 +104,9 @@ Time chain_lower_bound(InstanceView view) {
     pareto.erase(std::next(it), last);
   };
 
-  // Same (arrival, id) order as Instance::ids_by_arrival(), built in a
-  // thread-local scratch through the shared radix/comparison kernel.
+  // (arrival, id) order, built in a thread-local scratch.
   thread_local std::vector<JobId> order;
-  const std::span<const Time> arrivals = view.arrivals();
-  simd::sort_ids_by_key(arrivals.data(), arrivals.size(), order);
+  view.ids_by_arrival(order);
 
   Time best = Time::zero();
   for (const JobId id : order) {

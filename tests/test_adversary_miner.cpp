@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "core/job_table.h"
 #include "helpers.h"
 #include "offline/exact.h"
 #include "sim/engine.h"
@@ -110,7 +113,7 @@ TEST(MinerPrefix, CountersStableAcrossThreadCountsInSerialBatches) {
 }
 
 TEST(MinerScreen, PrecutPreservesTrajectoryAndCountsRejects) {
-  // The lane-parallel LB pre-screen may settle a candidate with the
+  // The LB pre-screen may settle a candidate with the
   // span-free upper bound min(max d+p - min a, sum p) / max p instead of
   // calling the objective. Use an objective that bound provably dominates
   // (0.75x the bound itself, recomputed from the view) and pin that
@@ -157,6 +160,40 @@ TEST(MinerScreen, WorstCaseMineScreensAndStaysConsistent) {
   EXPECT_GT(result.screen_rejects, 0u);
   EXPECT_LE(result.screen_rejects,
             result.evaluations - result.memo_hits);
+}
+
+TEST(MinerScreen, BoundReadsThePatchedRowInsteadOfTheParent) {
+  JobTable table;
+  table.push_back(Time(0), Time(2), Time(1));
+  table.push_back(Time(4), Time(4), Time(2));
+  // Window [0, 6), sum p 3, max p 2.
+  EXPECT_EQ(screen_ratio_bound(table.view()), std::optional<double>(1.5));
+  // Row 1 patched to a = 10, d = 12, p = 4: window [0, 16), sum p 5.
+  const Job patch{.id = 1, .arrival = Time(10), .deadline = Time(12),
+                  .length = Time(4)};
+  EXPECT_EQ(screen_ratio_bound(table.view(), 1, patch),
+            std::optional<double>(1.25));
+  EXPECT_EQ(screen_ratio_bound(JobTable{}.view()), std::nullopt);
+}
+
+TEST(MinerScreen, SumPFollowsSaturatingAddStepwise) {
+  // Unvalidated rows whose running sum p saturates at Time::max() and then
+  // meets a large negative length: each step clamps like
+  // Time::saturating_add, so the sum falls back to about max / 2 instead
+  // of staying clamped at max.
+  const std::int64_t k_max = Time::max().ticks();
+  JobTable table;
+  for (const std::int64_t p : {k_max, k_max, -(k_max / 2)}) {
+    table.push_back(Time::zero(), Time::zero(), Time(p));
+  }
+  Time sum_p = Time::zero();
+  for (const Time p : table.view().lengths()) {
+    sum_p = sum_p.saturating_add(p);
+  }
+  ASSERT_LT(sum_p, Time::max());
+  // Window [0, max): d + p saturates at max for the long rows.
+  EXPECT_EQ(screen_ratio_bound(table.view()),
+            std::optional<double>(time_ratio(sum_p, Time::max())));
 }
 
 TEST(MinerBudget, UncertifiableCandidatesAreSkippedNotFatal) {

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
@@ -150,24 +153,7 @@ TEST(JobTable, ColumnLengthMismatchIsRejectedByViewCtor) {
   EXPECT_THROW(InstanceView(two, three, two), AssertionError);
 }
 
-TEST(JobTable, ColumnsAre64ByteAligned) {
-  // The SIMD kernels' owned-path padding guarantee (support/aligned.h):
-  // column bases stay 64-byte aligned through growth so full-width vector
-  // loads on the owned path never straddle an unmapped page.
-  JobTable table;
-  for (std::size_t i = 0; i < 100; ++i) {
-    table.push_back(U(static_cast<double>(i)), U(static_cast<double>(i + 1)),
-                    U(1));
-    for (const auto* base : {table.arrivals().data(),
-                             table.deadlines().data(),
-                             table.lengths().data()}) {
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(base) % 64, 0u)
-          << "after " << i + 1 << " rows";
-    }
-  }
-}
-
-TEST(InstanceViewSimd, EmptyAndSingleRowStats) {
+TEST(InstanceViewStats, EmptyAndSingleRowStats) {
   JobTable empty;
   EXPECT_EQ(empty.view().total_work(), Time::zero());
   JobTable one;
@@ -181,9 +167,8 @@ TEST(InstanceViewSimd, EmptyAndSingleRowStats) {
   EXPECT_EQ(v.ids_by_arrival(), std::vector<JobId>{0});
 }
 
-TEST(InstanceViewSimd, AllEqualKeysOrderByIdAtEveryScale) {
-  // Radix path (above the small-n cutoff) and comparison path must both
-  // realize the (key, id) total order when every key ties.
+TEST(InstanceViewStats, AllEqualKeysOrderByIdAtEveryScale) {
+  // Every key ties: the (key, id) total order is the identity at any n.
   for (const std::size_t n : {3u, 7u, 64u, 65u, 200u}) {
     JobTable table;
     for (std::size_t i = 0; i < n; ++i) {
@@ -199,10 +184,9 @@ TEST(InstanceViewSimd, AllEqualKeysOrderByIdAtEveryScale) {
   }
 }
 
-TEST(InstanceViewSimd, StatsStableAcrossVectorTailLengths) {
-  // n = 1..8 walks every tail residue the widest vector tier can leave;
-  // stats computed through the dispatched kernels must equal the naive
-  // scalar recomputation at each size.
+TEST(InstanceViewStats, StatsMatchNaiveRecomputationAtEverySize) {
+  // n = 1..8: each derived stat must equal the naive row-by-row
+  // recomputation at every size.
   JobTable table;
   for (std::size_t n = 1; n <= 8; ++n) {
     const auto d = static_cast<double>(n);
@@ -229,11 +213,10 @@ TEST(InstanceViewSimd, StatsStableAcrossVectorTailLengths) {
   }
 }
 
-TEST(InstanceViewSimd, NearMaxMagnitudesSaturateAndThrowLikeScalar) {
-  // Near-Time::max() rows: the vectorized total_work must saturate with
-  // the flag set, the checked accessor must throw, and latest_completion
-  // must throw through its checked fallback — exactly the scalar
-  // behaviour the fuzz oracle pins tier against tier.
+TEST(InstanceViewStats, NearMaxMagnitudesSaturateAndThrow) {
+  // Near-Time::max() rows: total_work_saturating must saturate with the
+  // flag set, the checked total_work must throw, and latest_completion
+  // must throw on the unrepresentable d + p.
   JobTable table;
   table.push_back(Time::zero(), Time::max() - Time(1), Time(1));
   table.push_back(Time::zero(), Time::max(), Time(1));  // d + p overflows
@@ -248,6 +231,86 @@ TEST(InstanceViewSimd, NearMaxMagnitudesSaturateAndThrowLikeScalar) {
   exact.push_back(Time::zero(), Time::max() - Time(1), Time(1));
   EXPECT_EQ(exact.view().latest_completion(), Time::max());
   EXPECT_EQ(exact.view().total_work(), Time(1));
+}
+
+TEST(InstanceViewStats, SaturatingTotalWorkFlagsExactlyThePastMaxSums) {
+  // The flag is set iff the exact sum of the (non-negative) lengths
+  // exceeds Time::max(); otherwise the value is the exact sum.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<std::pair<std::vector<std::int64_t>, bool>> cases = {
+      {{0}, false},
+      {{kMax}, false},
+      {{kMax, 1}, true},
+      {{1, kMax}, true},
+      {{kMax / 2, kMax / 2, 1}, false},
+      {{kMax / 2, kMax / 2, 3}, true},
+      {{5, 9, 13, 2, 0, 7, 11, 1, 3}, false},
+      {std::vector<std::int64_t>(9, kMax / 8), true},
+  };
+  for (const auto& [lengths, past_max] : cases) {
+    JobTable table;
+    for (const std::int64_t p : lengths) {
+      table.push_back(Time::zero(), Time::zero(), Time(p));
+    }
+    bool overflowed = !past_max;
+    const Time total = table.view().total_work_saturating(&overflowed);
+    EXPECT_EQ(overflowed, past_max) << table.view().to_string();
+    if (past_max) {
+      EXPECT_EQ(total, Time::max());
+      EXPECT_THROW(table.view().total_work(), AssertionError);
+    } else {
+      std::int64_t exact = 0;
+      for (const std::int64_t p : lengths) {
+        exact += p;
+      }
+      EXPECT_EQ(total, Time(exact));
+      EXPECT_EQ(table.view().total_work(), Time(exact));
+    }
+  }
+}
+
+TEST(InstanceViewStats, LatestCompletionReachesMaxAndThrowsPastEitherEnd) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  JobTable at_max;
+  at_max.push_back(Time::zero(), Time(kMax - 5), Time(5));
+  at_max.push_back(Time::zero(), Time(1), Time(1));
+  EXPECT_EQ(at_max.view().latest_completion(), Time::max());
+  // Unvalidated scratch rows: a negative d + p past Time::min() must
+  // throw too, not wrap.
+  JobTable below_min;
+  below_min.push_back(Time::zero(), Time::min(), Time(-1));
+  below_min.push_back(Time::zero(), Time::zero(), Time::zero());
+  EXPECT_THROW(below_min.view().latest_completion(), AssertionError);
+}
+
+TEST(InstanceViewStats, OrderingsBreakDuplicateSignedKeysById) {
+  // Heavy duplication, negative keys and both int64 extremes: the id
+  // orderings must equal a stable sort by key (ties keep ascending ids).
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  JobTable table;
+  std::vector<std::int64_t> keys(100);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = ((static_cast<std::int64_t>(i) * 2654435761LL) % 17) - 8;
+  }
+  keys[3] = kMax;
+  keys[97] = Time::min().ticks();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    // Deadlines run the keys backwards so the two orderings differ.
+    table.push_back(Time(keys[i]), Time(keys[keys.size() - 1 - i]), U(1));
+  }
+  const auto expect = [](const std::span<const Time> column) {
+    std::vector<JobId> ids(column.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<JobId>(i);
+    }
+    std::stable_sort(ids.begin(), ids.end(), [&](JobId x, JobId y) {
+      return column[x] < column[y];
+    });
+    return ids;
+  };
+  const InstanceView v = table.view();
+  EXPECT_EQ(v.ids_by_arrival(), expect(v.arrivals()));
+  EXPECT_EQ(v.ids_by_deadline(), expect(v.deadlines()));
 }
 
 }  // namespace

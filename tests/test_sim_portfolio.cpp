@@ -268,16 +268,18 @@ TEST(Portfolio, ParallelGridMatchesSerialAcrossThreadCounts) {
   EXPECT_EQ(serial, compute(4));
 }
 
-TEST(EngineWorkspacePool, LeasesRecycleOnSameThread) {
+/// Leases and returns workspaces on the calling thread, whose free list
+/// must start empty.
+void lease_and_recycle_on_this_thread() {
   auto& pool = engine_workspace_pool();
-  const std::size_t before = pool.cached_count();
+  ASSERT_EQ(pool.cached_count(), 0u);
   EngineWorkspace* first = nullptr;
   {
     const auto lease = pool.acquire();
     first = lease.get();
     ASSERT_NE(first, nullptr);
   }
-  EXPECT_EQ(pool.cached_count(), before + 1);
+  EXPECT_EQ(pool.cached_count(), 1u);
   {
     // LIFO: the workspace just returned is the one handed out next, so
     // its warmed capacity is reused by the next run on this thread.
@@ -286,7 +288,19 @@ TEST(EngineWorkspacePool, LeasesRecycleOnSameThread) {
     const auto second = pool.acquire();
     EXPECT_NE(second.get(), first);
   }
-  EXPECT_EQ(pool.cached_count(), before + 2);
+  EXPECT_EQ(pool.cached_count(), 2u);
+}
+
+TEST(EngineWorkspacePool, LeasesRecycleOnSameThread) {
+  // On a fresh thread: free lists are per thread, so whatever earlier
+  // tests left cached on the main thread cannot shift the counts.
+  std::thread([] {
+    try {
+      lease_and_recycle_on_this_thread();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  }).join();
 }
 
 // --- Allocation regression assertions (FJS_COUNT_ALLOCS builds) -------
@@ -338,7 +352,7 @@ void cycle_schedulers_through_one_runner() {
 
 TEST(Portfolio, PrefixLineagesStayBoundedAsSchedulersAreReplaced) {
   // On its own thread: the runners' workspaces then go back to that
-  // thread's free list, not to the one EngineWorkspacePool tests observe.
+  // thread's free list, not to the main thread's.
   std::thread([] {
     try {
       cycle_schedulers_through_one_runner();
