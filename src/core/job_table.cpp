@@ -55,16 +55,18 @@ Time InstanceView::total_work() const {
 }
 
 Time InstanceView::total_work_saturating(bool* overflowed) const {
-  // Lengths are positive in a validated table, so the step-wise sum only
-  // ever clips at Time::max().
+  // Lengths are positive in a validated table, so there the sum only ever
+  // clips at Time::max(). An unvalidated scratch table may hold
+  // non-positive lengths; those clip at Time::min(), never overflow.
   bool clipped = false;
   Time total = Time::zero();
   for (const Time p : lengths_) {
-    if (total > Time::max() - p) {
+    std::int64_t sum = 0;
+    if (__builtin_add_overflow(total.ticks(), p.ticks(), &sum)) {
       clipped = true;
-      total = Time::max();
+      total = p > Time::zero() ? Time::max() : Time::min();
     } else {
-      total = total + p;
+      total = Time(sum);
     }
   }
   if (overflowed != nullptr) {

@@ -114,8 +114,9 @@ class InstanceView {
   /// Σ p(J). Checked addition: throws AssertionError on overflow.
   Time total_work() const;
 
-  /// Σ p(J) with saturation instead of throwing; sets *overflowed (when
-  /// non-null) iff the exact sum is not representable.
+  /// Σ p(J) summed step-wise, each step clipped to the time axis instead
+  /// of throwing; sets *overflowed (when non-null) iff some step clipped.
+  /// With positive lengths that is iff the exact sum exceeds Time::max().
   Time total_work_saturating(bool* overflowed = nullptr) const;
 
   /// Earliest arrival across jobs. Requires non-empty.

@@ -74,21 +74,13 @@ class E14Experiment final : public Experiment {
       results[i] = mine_worst_case(targets[i].key, options);
     }
 
-    // Checkpoint cache columns: the prefix-replay hit/miss split of the
-    // objective's online-simulation half and the mean staged-arrival depth
-    // restored per hit (diagnostics — replayed spans are bit-identical with
-    // the cache on or off, so these never influence any verdict).
     Table table({"scheduler", "mined worst ratio", "proven bound",
-                 "evaluations", "memo hits", "prefix hits", "prefix misses",
-                 "mean prefix depth"});
+                 "evaluations", "memo hits"});
     for (std::size_t i = 0; i < targets.size(); ++i) {
       table.add_row({targets[i].key, format_double(results[i].worst_ratio, 4),
                      targets[i].bound_label,
                      std::to_string(results[i].evaluations),
-                     std::to_string(results[i].memo_hits),
-                     std::to_string(results[i].prefix_hits),
-                     std::to_string(results[i].prefix_misses),
-                     format_double(results[i].mean_prefix_depth(), 2)});
+                     std::to_string(results[i].memo_hits)});
       result.verdicts.push_back(Verdict::at_least(
           "mined ratio certified " + std::string(targets[i].key),
           results[i].worst_ratio, 1.0,

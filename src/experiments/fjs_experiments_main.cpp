@@ -37,8 +37,8 @@ void print_usage(std::ostream& os) {
      << "  --seed S             base seed; 0 (default) reproduces the\n"
      << "                       legacy per-experiment seeds exactly\n"
      << "  --out DIR            output root (default: results)\n"
-     << "  --run-id ID          run directory name (default: generated;\n"
-     << "                       an existing directory is refused)\n"
+     << "  --run-id ID          one directory name under --out (default:\n"
+     << "                       generated; an existing one is refused)\n"
      << "  --force              replace an existing --run-id directory\n"
      << "                       instead of refusing\n"
      << "  --trace FILE         write a Chrome-tracing JSON (one span per\n"
@@ -88,6 +88,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> skip;
   std::string filter;
   bool list = false;
+  bool run_id_given = false;
 
   const std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -131,6 +132,7 @@ int main(int argc, char** argv) {
       options.out_root = value("a directory argument");
     } else if (arg == "--run-id") {
       options.run_id = value("a directory-name argument");
+      run_id_given = true;
     } else if (arg == "--force") {
       options.force = true;
     } else if (arg == "--trace") {
@@ -138,12 +140,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--quiet") {
       options.quiet = true;
     } else {
-      std::cerr << "fjs_experiments: unknown option " << arg << '\n';
-      print_usage(std::cerr);
+      std::cerr << "fjs_experiments: unknown option " << arg
+                << " (see --help)\n";
       return 2;
     }
   }
 
+  // Checked before any filesystem call: an id such as "../x" or "/x"
+  // would place the run outside --out, and --force would delete it.
+  if (run_id_given && !fjs::experiments::is_valid_run_id(options.run_id)) {
+    std::cerr << "fjs_experiments: --run-id must be a single directory name"
+                 " (not empty, '.', '..' or containing '/')\n";
+    return 2;
+  }
   if (options.force && options.run_id.empty()) {
     std::cerr << "fjs_experiments: --force requires --run-id (generated ids"
                  " never collide)\n";

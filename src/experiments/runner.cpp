@@ -104,8 +104,16 @@ std::uint64_t experiment_seed(std::uint64_t base, const std::string& name) {
   return z ^ (z >> 31);
 }
 
+bool is_valid_run_id(const std::string& run_id) {
+  return !run_id.empty() && run_id != "." && run_id != ".." &&
+         run_id.find('/') == std::string::npos;
+}
+
 RunReport run_experiments(const std::vector<const Experiment*>& selection,
                           const RunnerOptions& options) {
+  FJS_REQUIRE(options.run_id.empty() || is_valid_run_id(options.run_id),
+              "runner: run id '" + options.run_id +
+                  "' is not a single directory name");
   const std::size_t hardware =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const std::size_t jobs = options.jobs == 0 ? hardware : options.jobs;

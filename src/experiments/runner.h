@@ -56,6 +56,11 @@ struct RunnerOptions {
   std::ostream* console = nullptr;
 };
 
+/// True iff `run_id` names one directory directly under the output root:
+/// not empty, not "." or "..", and free of '/'. Any other id could resolve
+/// outside the root, where `force` would delete it.
+bool is_valid_run_id(const std::string& run_id);
+
 /// Outcome of one experiment inside a run.
 struct ExperimentRecord {
   std::string name;

@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
       }
       options.repro_dir = args[++i];
     } else if (arg == "--replay") {
-      if (i + 1 >= args.size()) {
+      if (i + 1 >= args.size() || args[i + 1].empty()) {
         std::cerr << "fjs_fuzz: --replay needs a file argument\n";
         return 2;
       }
@@ -127,8 +127,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--list-oracles") {
       list_oracles = true;
     } else {
-      std::cerr << "fjs_fuzz: unknown option '" << arg << "'\n";
-      print_usage(std::cerr);
+      std::cerr << "fjs_fuzz: unknown option '" << arg << "' (see --help)\n";
       return 2;
     }
   }

@@ -12,7 +12,7 @@
 //    metric registration (static initialization), thread first-touch /
 //    exit, snapshotting, and trace export — never per increment.
 //  * Deterministic snapshots. Metrics are tagged with a Stability:
-//    kDeterministic metrics (events simulated, prefix-cache hits, ...)
+//    kDeterministic metrics (events simulated, miner memo hits, ...)
 //    depend only on the workload and are byte-stable across `--jobs 1`
 //    runs of a deterministic workload; kTiming metrics (steals,
 //    helping-wait spins, latencies) vary run to run and are excluded
@@ -25,7 +25,7 @@
 //
 // Usage: define metrics at namespace scope in the instrumented .cpp —
 //
-//   static telemetry::Counter g_hits{"portfolio.prefix_hits",
+//   static telemetry::Counter g_hits{"miner.memo_hits",
 //                                    telemetry::Stability::kDeterministic};
 //   ...
 //   g_hits.add(1);

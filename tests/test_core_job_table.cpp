@@ -235,7 +235,9 @@ TEST(InstanceViewStats, NearMaxMagnitudesSaturateAndThrow) {
 
 TEST(InstanceViewStats, SaturatingTotalWorkFlagsExactlyThePastMaxSums) {
   // The flag is set iff the exact sum of the (non-negative) lengths
-  // exceeds Time::max(); otherwise the value is the exact sum.
+  // exceeds Time::max(); otherwise the value is the exact sum. A negative
+  // length (only an unvalidated scratch table holds one) is summed
+  // exactly too, without signed overflow.
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   const std::vector<std::pair<std::vector<std::int64_t>, bool>> cases = {
       {{0}, false},
@@ -246,6 +248,7 @@ TEST(InstanceViewStats, SaturatingTotalWorkFlagsExactlyThePastMaxSums) {
       {{kMax / 2, kMax / 2, 3}, true},
       {{5, 9, 13, 2, 0, 7, 11, 1, 3}, false},
       {std::vector<std::int64_t>(9, kMax / 8), true},
+      {{-5}, false},
   };
   for (const auto& [lengths, past_max] : cases) {
     JobTable table;

@@ -47,7 +47,8 @@ TEST(FuzzGenerator, DeterministicPerSeed) {
   std::size_t distinct = 0;
   const Instance first = generate_fuzz_instance(config, 1);
   for (std::uint64_t seed = 2; seed <= 20; ++seed) {
-    distinct += same_jobs(first, generate_fuzz_instance(config, seed)) ? 0 : 1;
+    distinct +=
+        same_jobs(first, generate_fuzz_instance(config, seed)) ? 0u : 1u;
   }
   EXPECT_GE(distinct, 18u);
 }
@@ -73,13 +74,13 @@ TEST(FuzzGenerator, EveryInstanceValidAndEdgeCasesCovered) {
       ASSERT_LE(j.arrival, j.deadline);
       ASSERT_GT(j.length, Time::zero());
       const Time laxity = j.deadline - j.arrival;
-      zero_laxity += laxity == Time::zero() ? 1 : 0;
-      one_tick_laxity += laxity == Time(1) ? 1 : 0;
+      zero_laxity += laxity == Time::zero() ? 1u : 0u;
+      one_tick_laxity += laxity == Time(1) ? 1u : 0u;
       fractional += (j.arrival.ticks() % kUnit != 0 ||
                      j.deadline.ticks() % kUnit != 0 ||
                      j.length.ticks() % kUnit != 0)
-                        ? 1
-                        : 0;
+                        ? 1u
+                        : 0u;
       huge_arrival += j.arrival > Time(Time::max().ticks() / 2) ? 1u : 0u;
       huge_length += j.length > Time(Time::max().ticks() / 2) ? 1u : 0u;
     }
@@ -107,9 +108,11 @@ TEST(FuzzGenerator, EveryInstanceValidAndEdgeCasesCovered) {
 TEST(FuzzOracles, StandardBatteryNamesAndCleanCorpus) {
   const std::vector<Oracle> oracles = standard_oracles();
   const std::size_t n_schedulers = scheduler_registry().size();
-  ASSERT_EQ(oracles.size(), 2 * n_schedulers + 4);
+  ASSERT_EQ(oracles.size(), n_schedulers + 4);
   EXPECT_EQ(oracles.front().name, "sched:eager");
-  EXPECT_EQ(oracles[n_schedulers].name, "ckpt:eager");
+  for (std::size_t i = 0; i < n_schedulers; ++i) {
+    EXPECT_EQ(oracles[i].name, "sched:" + scheduler_registry()[i].key);
+  }
   EXPECT_EQ(oracles[oracles.size() - 4].name, "ratio-bounds");
   EXPECT_EQ(oracles[oracles.size() - 3].name, "offline-sandwich");
   EXPECT_EQ(oracles[oracles.size() - 2].name, "exact-vs-reference");

@@ -308,60 +308,6 @@ TEST(EngineWorkspacePool, LeasesRecycleOnSameThread) {
 // The counters are thread-local and the runs below are single-threaded
 // and deterministic, so the measured deltas are exact, not statistical.
 
-/// The miner's pattern: a fresh scheduler object (hence a fresh address)
-/// per mined key, all through one runner. Old objects are kept alive here
-/// so no address is ever reused; the runner must still retire lineages
-/// instead of keeping one per object ever seen, and every span must equal
-/// a full replay, including for schedulers whose lineage was retired.
-void cycle_schedulers_through_one_runner() {
-  const Instance base = random_integral_instance(5, 30, 40, 6, 5);
-  std::vector<Job> jobs(base.view().jobs().begin(), base.view().jobs().end());
-  jobs.back().deadline = jobs.back().deadline + Time(Time::kTicksPerUnit);
-  const Instance mutated{std::move(jobs)};
-  const auto& registry = scheduler_registry();
-  std::vector<std::unique_ptr<OnlineScheduler>> schedulers;
-  PortfolioRunner runner;
-  runner.enable_prefix_replay(EngineCheckpointSeries::kDefaultSlots,
-                              /*include_nonclairvoyant=*/true);
-  PortfolioRunner full;
-  const std::size_t cycles = 3 * PortfolioRunner::kMaxPrefixLineages;
-  for (std::size_t c = 0; c < cycles; ++c) {
-    schedulers.push_back(make_scheduler(registry[c % registry.size()].key));
-    // Every third step revisits an older object, whose lineage may have
-    // been retired since.
-    OnlineScheduler* scheduler =
-        c % 3 == 2 ? schedulers[c / 2].get() : schedulers.back().get();
-    for (const bool clairvoyant : {false, true}) {
-      if (!clairvoyant && scheduler->requires_clairvoyance()) {
-        continue;
-      }
-      const PortfolioEntry entry{scheduler, clairvoyant};
-      for (int round = 0; round < 4; ++round) {
-        const Instance& inst = round % 2 == 0 ? base : mutated;
-        ASSERT_EQ(runner.run_span(inst, entry), full.run_span(inst, entry))
-            << "cycle " << c << " clairvoyant " << clairvoyant;
-      }
-    }
-    ASSERT_LE(runner.prefix_lineage_count(),
-              PortfolioRunner::kMaxPrefixLineages);
-  }
-  EXPECT_EQ(runner.prefix_lineage_count(), PortfolioRunner::kMaxPrefixLineages);
-  // Retirement keeps the cache working: the repeated rounds resumed.
-  EXPECT_GT(runner.prefix_stats().hits, cycles);
-}
-
-TEST(Portfolio, PrefixLineagesStayBoundedAsSchedulersAreReplaced) {
-  // On its own thread: the runners' workspaces then go back to that
-  // thread's free list, not to the main thread's.
-  std::thread([] {
-    try {
-      cycle_schedulers_through_one_runner();
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << e.what();
-    }
-  }).join();
-}
-
 TEST(PortfolioAllocs, SpanModeSteadyStateIsAllocationFree) {
   if (!alloc_counting_enabled()) {
     GTEST_SKIP() << "build with -DFJS_COUNT_ALLOCS=ON to measure";
@@ -384,44 +330,6 @@ TEST(PortfolioAllocs, SpanModeSteadyStateIsAllocationFree) {
   const AllocCounts after = alloc_counts();
   EXPECT_EQ(after.allocations - before.allocations, 0u)
       << "span-only portfolio steady state must not touch the heap";
-}
-
-TEST(PortfolioAllocs, PrefixReplayRestoreSteadyStateIsAllocationFree) {
-  if (!alloc_counting_enabled()) {
-    GTEST_SKIP() << "build with -DFJS_COUNT_ALLOCS=ON to measure";
-  }
-  // Checkpointed prefix replay in the miner's steady state: alternating
-  // single-job variants of one instance, every run restoring a deep
-  // checkpoint (the mutated job is the latest arrival, so the whole
-  // captured prefix stays valid) and recapturing the tail. Restores,
-  // captures and the lineage-base refresh must all reuse warm capacity.
-  const Instance base = random_integral_instance(3, 40, 60, 6, 5);
-  std::vector<Job> jobs(base.view().jobs().begin(), base.view().jobs().end());
-  std::size_t victim = 0;
-  for (std::size_t i = 1; i < jobs.size(); ++i) {
-    if (jobs[i].arrival > jobs[victim].arrival) {
-      victim = i;
-    }
-  }
-  jobs[victim].deadline = jobs[victim].deadline + Time(Time::kTicksPerUnit);
-  const Instance mutated{std::move(jobs)};
-  const auto batch_plus = make_scheduler("batch+");
-  const PortfolioEntry entry{batch_plus.get(), true};
-  PortfolioRunner runner;
-  runner.enable_prefix_replay();
-  for (int warm = 0; warm < 4; ++warm) {
-    runner.run_span(warm % 2 == 0 ? base : mutated, entry);
-  }
-  const PrefixReplayStats warm_stats = runner.prefix_stats();
-  const AllocCounts before = alloc_counts();
-  for (int i = 0; i < 20; ++i) {
-    runner.run_span(i % 2 == 0 ? base : mutated, entry);
-  }
-  const AllocCounts after = alloc_counts();
-  EXPECT_EQ(after.allocations - before.allocations, 0u)
-      << "checkpoint restore/capture steady state must not touch the heap";
-  // The loop above really was the restore path, not 20 cold replays.
-  EXPECT_EQ(runner.prefix_stats().hits - warm_stats.hits, 20u);
 }
 
 TEST(PortfolioAllocs, SimulateSpanNeverAllocatesATrace) {

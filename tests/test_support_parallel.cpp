@@ -159,12 +159,14 @@ TEST(ParallelForDynamic, MatchesStaticPolicy) {
   ThreadPool pool(4);
   std::vector<double> dynamic_out(300);
   std::vector<double> static_out(300);
-  parallel_for(pool, dynamic_out.size(),
-               [&](std::size_t i) { dynamic_out[i] = i * 0.5; }, 1,
-               ChunkPolicy::kDynamic);
-  parallel_for(pool, static_out.size(),
-               [&](std::size_t i) { static_out[i] = i * 0.5; }, 1,
-               ChunkPolicy::kStatic);
+  parallel_for(
+      pool, dynamic_out.size(),
+      [&](std::size_t i) { dynamic_out[i] = static_cast<double>(i) * 0.5; },
+      1, ChunkPolicy::kDynamic);
+  parallel_for(
+      pool, static_out.size(),
+      [&](std::size_t i) { static_out[i] = static_cast<double>(i) * 0.5; },
+      1, ChunkPolicy::kStatic);
   EXPECT_EQ(dynamic_out, static_out);
 }
 
